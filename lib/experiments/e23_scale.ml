@@ -158,6 +158,7 @@ let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
         | None -> ()
         | Some reg ->
             let labels = [ ("shards", string_of_int shards) ] in
+            Parsim.export_shard_time reg r;
             Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e23.events") r.events;
             Obs.Metrics.Counter.set
               (Obs.Metrics.counter reg ~labels "e23.cross_messages")

@@ -410,6 +410,7 @@ let run ?metrics ?(seed = 42) ?(shard_counts = !default_shard_counts)
         | None -> ()
         | Some reg ->
             let labels = [ ("shards", string_of_int shards) ] in
+            Parsim.export_shard_time reg r;
             Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "e27.events") r.events;
             Obs.Metrics.Counter.set
               (Obs.Metrics.counter reg ~labels "e27.peak_live_flows")

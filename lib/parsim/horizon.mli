@@ -16,9 +16,10 @@
     [r*L + L], which is exactly the next window's end — the whole fleet
     advances one window per round.
 
-    In {e adaptive} mode each round starts with every shard publishing
-    the timestamp of its earliest queued event ([no_event] when its
-    queue is empty). Because cross-shard messages are staged and
+    In {e adaptive} mode each round starts with every shard knowing
+    every shard's earliest pending event ([no_event] for an empty
+    queue), derived from what each published at the previous barrier.
+    Because cross-shard messages are staged and
     released only at the window barrier, every packet shard [j] sends
     during the coming window departs at or after [j]'s published next
     event [n_j] and lands no earlier than [n_j + d] for the cheapest

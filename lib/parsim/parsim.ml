@@ -1,5 +1,6 @@
 module Spsc = Spsc
 module Horizon = Horizon
+module Barrier = Barrier
 module Scheduler = Eventsim.Scheduler
 module Topology = Evcore.Topology
 module Event_switch = Evcore.Event_switch
@@ -187,9 +188,51 @@ let config ?(shards = 1) ?(channel_capacity = 1024) ?backend ?(horizon = Adaptiv
 (* Engine                                                              *)
 
 (* A packet in flight between shards. [mkey] identifies the directed
-   cross-link ([link_id * 2 + direction]); (mtime, mkey, mseq) is the
-   deterministic release order at the barrier. *)
-type message = { mtime : int; mkey : int; mseq : int; mpkt : Netcore.Packet.t }
+   cross-link ([link_id * 2 + direction]); [mround] is the sender's
+   window, so the receiver releases exactly that window's messages at
+   its barrier even when a faster peer has already sent the next. *)
+type message = { mtime : int; mkey : int; mround : int; mpkt : Netcore.Packet.t }
+
+let nil_message = { mtime = 0; mkey = -1; mround = 0; mpkt = Netcore.Packet.nil }
+
+(* Receiver-side FIFO of one directed cross link, the counterpart of
+   [Link]'s fly ring. A link's messages arrive in send order with one
+   fixed delay, so arrival times never decrease along the ring: the
+   first [posted] entries from [head] are queued in the scheduler (each
+   under the ring's one persistent callback, which pops the head), the
+   rest are staged until their window's barrier. *)
+type xring = {
+  mutable msgs : message array;  (* capacity: power of two *)
+  mutable head : int;
+  mutable posted : int;
+  mutable len : int;
+  mutable cb : unit -> unit;
+}
+
+let new_xring () = { msgs = Array.make 8 nil_message; head = 0; posted = 0; len = 0; cb = ignore }
+
+let xring_slot rg k = rg.msgs.((rg.head + k) land (Array.length rg.msgs - 1))
+
+let xring_push rg m =
+  let cap = Array.length rg.msgs in
+  if rg.len = cap then begin
+    let msgs = Array.make (2 * cap) nil_message in
+    for k = 0 to rg.len - 1 do
+      msgs.(k) <- xring_slot rg k
+    done;
+    rg.msgs <- msgs;
+    rg.head <- 0
+  end;
+  rg.msgs.((rg.head + rg.len) land (Array.length rg.msgs - 1)) <- m;
+  rg.len <- rg.len + 1
+
+let xring_pop rg =
+  let m = rg.msgs.(rg.head) in
+  rg.msgs.(rg.head) <- nil_message;
+  rg.head <- (rg.head + 1) land (Array.length rg.msgs - 1);
+  rg.len <- rg.len - 1;
+  rg.posted <- rg.posted - 1;
+  m
 
 (* One packet arrival, for the conformance trace. Entities live on one
    shard each, so per-entity streams are recorded in execution order;
@@ -202,12 +245,17 @@ type entry = { et : int; ekind : int; eid : int; eseq : int; edetail : string }
 
 type shard_state = {
   mutable ctx : shard_ctx;
-  mutable staging : message list;
+  mutable round : int;  (* window being executed; stamps sent messages *)
+  sent_min : int array;  (* per peer: earliest arrival sent this window *)
+  dirty : int array;  (* mkeys of inbound rings holding staged messages *)
+  mutable ndirty : int;
+  heap : int array;  (* release scratch: mkeys ordered by staged head *)
   mutable trace : entry list;  (* reversed *)
   mutable digest : int;  (* commutative arrival-multiset accumulator *)
   mutable ties : int;  (* same-instant arrivals at one entity observed *)
   mutable cross_sent : int;
   mutable cross_delivered : int;
+  mutable busy_s : float;  (* wall time executing windows, waits excluded *)
 }
 
 type engine = {
@@ -218,18 +266,15 @@ type engine = {
   min_out : int array;  (* per shard, min delay of outgoing cross links *)
   states : shard_state array;
   chans : message Spsc.t option array array;
-  progress : int Atomic.t array;  (* published horizon (null message), ps *)
-  next_ev : int Atomic.t array;  (* published next-event time, per round *)
-  next_tag : int Atomic.t array;  (* round number stamping [next_ev] *)
-  xdeliver : (Netcore.Packet.t -> unit) array;  (* by mkey; receiver-owned *)
+  rings : xring array;  (* by mkey; owned by the receiving shard *)
+  bar : Barrier.t;
+  pub_head : int array;
+      (* [slot * n + s]: shard [s]'s earliest queued event after its
+         window, published for the rendezvous of that parity *)
+  pub_sent : int array;
+      (* [(slot * n + s) * n + d]: earliest arrival [s] sent to [d] in
+         the same window *)
 }
-
-(* Spin briefly, then sleep. On a machine with a core per shard the
-   barrier resolves during the relax phase; with fewer cores than
-   shards (or one), spinning would burn the whole OS quantum while the
-   peer waits to run, so yield the processor instead. *)
-let backoff spins =
-  if spins < 200 then Domain.cpu_relax () else Unix.sleepf 0.0001
 
 let drain_inbound eng shard =
   let st = eng.states.(shard) in
@@ -237,102 +282,149 @@ let drain_inbound eng shard =
     match eng.chans.(j).(shard) with
     | None -> ()
     | Some c ->
-        let rec pop () =
+        let rec pop got =
           match Spsc.try_pop c with
-          | None -> ()
+          | None -> got
           | Some m ->
-              st.staging <- m :: st.staging;
-              pop ()
+              let rg = eng.rings.(m.mkey) in
+              if rg.posted = rg.len then begin
+                st.dirty.(st.ndirty) <- m.mkey;
+                st.ndirty <- st.ndirty + 1
+              end;
+              xring_push rg m;
+              pop true
         in
-        pop ()
+        (* The producer may be waiting for the space just freed. *)
+        if pop false then Barrier.wake eng.bar ~party:j
   done
 
-(* Producer-side send. On a full channel, drain our own inbound (the
-   peer may be blocked pushing to us) and retry — the barrier cannot
-   deadlock on mutual backpressure. *)
+(* Producer-side send. On a full channel, wake the receiver (it may be
+   parked at the barrier with its inbound full) and wait, draining our
+   own inbound — mutual backpressure cannot deadlock. *)
 let xsend eng ~src ~dst m =
   match eng.chans.(src).(dst) with
   | None -> assert false
   | Some c ->
-      let spins = ref 0 in
-      while not (Spsc.try_push c m) do
-        drain_inbound eng src;
-        backoff !spins;
-        incr spins
-      done
+      if not (Spsc.try_push c m) then begin
+        Barrier.wake eng.bar ~party:dst;
+        Barrier.await eng.bar ~party:src (fun () ->
+            drain_inbound eng src;
+            Spsc.try_push c m)
+      end
 
-let compare_message a b =
-  match compare a.mtime b.mtime with
-  | 0 -> ( match compare a.mkey b.mkey with 0 -> compare a.mseq b.mseq | c -> c)
-  | c -> c
-
-let release_staged eng shard =
+(* Post every staged message of windows up to [round] in (arrival time,
+   link, sequence) order: a k-way merge over the dirty rings, each
+   already in sequence order, keyed by (head arrival time, mkey). *)
+let release_staged eng shard ~round =
   let st = eng.states.(shard) in
-  let msgs = List.sort compare_message st.staging in
-  st.staging <- [];
-  List.iter
-    (fun m ->
-      if m.mtime <= eng.until then
-        Scheduler.post ~cls:"xlink" st.ctx.sched ~at:m.mtime (fun () ->
-            st.cross_delivered <- st.cross_delivered + 1;
-            eng.xdeliver.(m.mkey) m.mpkt))
-    msgs
-
-let wait_progress eng shard ~horizon =
-  let again = ref true and spins = ref 0 in
-  while !again do
-    again := false;
-    for j = 0 to eng.n - 1 do
-      if Atomic.get eng.progress.(j) < horizon then again := true
-    done;
-    if !again then begin
-      drain_inbound eng shard;
-      backoff !spins;
-      incr spins
+  let staged_head k =
+    let rg = eng.rings.(k) in
+    xring_slot rg rg.posted
+  in
+  let less a b =
+    let ta = (staged_head a).mtime and tb = (staged_head b).mtime in
+    ta < tb || (ta = tb && a < b)
+  in
+  let heap = st.heap and nh = ref 0 and nd = ref 0 in
+  let rec sift i =
+    let l = (2 * i) + 1 in
+    if l < !nh then begin
+      let c = if l + 1 < !nh && less heap.(l + 1) heap.(l) then l + 1 else l in
+      if less heap.(c) heap.(i) then begin
+        let x = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- x;
+        sift c
+      end
     end
+  in
+  for i = 0 to st.ndirty - 1 do
+    let k = st.dirty.(i) in
+    if (staged_head k).mround <= round then begin
+      heap.(!nh) <- k;
+      incr nh
+    end
+    else begin
+      st.dirty.(!nd) <- k;
+      incr nd
+    end
+  done;
+  st.ndirty <- !nd;
+  for i = (!nh / 2) - 1 downto 0 do
+    sift i
+  done;
+  while !nh > 0 do
+    let k = heap.(0) in
+    let rg = eng.rings.(k) in
+    Scheduler.post ~cls:"xlink" st.ctx.sched ~at:(staged_head k).mtime rg.cb;
+    rg.posted <- rg.posted + 1;
+    if not (rg.posted < rg.len && (staged_head k).mround <= round) then begin
+      if rg.posted < rg.len then begin
+        st.dirty.(st.ndirty) <- k;
+        st.ndirty <- st.ndirty + 1
+      end;
+      decr nh;
+      heap.(0) <- heap.(!nh)
+    end;
+    sift 0
+  done
+
+(* Publish what peers need to compute the next window: our queue head
+   after this window and, per peer, the earliest arrival we sent it. *)
+let publish eng shard ~slot =
+  let st = eng.states.(shard) and n = eng.n in
+  let p = slot land 1 in
+  let h = Scheduler.next_time st.ctx.sched in
+  eng.pub_head.((p * n) + shard) <- (if h < 0 then Horizon.no_event else h);
+  for d = 0 to n - 1 do
+    eng.pub_sent.((((p * n) + shard) * n) + d) <- st.sent_min.(d);
+    st.sent_min.(d) <- Horizon.no_event
+  done
+
+(* Every shard's earliest event once the published window's messages
+   are released: its own queue head, or the earliest arrival any peer
+   sent it — exactly what its scheduler will report after release. *)
+let next_events eng ~slot nexts =
+  let n = eng.n and p = slot land 1 in
+  for j = 0 to n - 1 do
+    let v = ref eng.pub_head.((p * n) + j) in
+    for i = 0 to n - 1 do
+      v := min !v eng.pub_sent.((((p * n) + i) * n) + j)
+    done;
+    nexts.(j) <- !v
   done
 
 (* The lockstep round loop of one shard. Returns the number of rounds
    (windows) it executed — identical on every shard, since every horizon
    and the stop verdict are computed from identically published data.
 
-   Round structure:
+   One rendezvous per round:
    {ol
-   {- Publish our earliest queued event time, then stamp it with the
-      round number. Value-before-tag ordering plus the progress barrier
-      below make torn reads impossible: a peer cannot publish round
-      [r+1] before it saw our round-[r] progress store, which happens
-      after we read its round-[r] publication.}
-   {- Rendezvous on the tags and read every peer's next-event time. No
-      peer can be blocked mid-send here — sends only happen inside a
-      window, after that shard already published its tag.}
-   {- If even the earliest published event is past [until], every shard
-      sees it and stops — this subsumes the old quiescence vote
-      (a quiescent fleet publishes only [Horizon.no_event]s).}
+   {- Read every shard's next event from the last publication
+      ({!next_events}). If even the earliest is past [until], every
+      shard sees it and stops — a quiescent fleet publishes only
+      [Horizon.no_event]s.}
    {- Otherwise execute one window up to the shared horizon: adaptive
       ([Horizon.adaptive_bound] — safe because staged release means a
       shard sends nothing before its published next event) or static
       ([cur + min cross delay], the classic bound).}
-   {- Progress barrier, then pop and release staged messages exactly as
-      before.}} *)
+   {- Publish queue head and per-peer earliest send into the slot of
+      this round's parity, then rendezvous, draining inbound while
+      waiting. A peer cannot overwrite the slot before we read it: it
+      would first have to pass the next rendezvous, which waits for
+      us.}
+   {- Pop the rest of this window's messages (every push
+      happens-before its sender's arrival) and release them.}} *)
 let run_shard eng shard =
   let st = eng.states.(shard) in
   let sched = st.ctx.sched in
+  let poll () = drain_inbound eng shard in
   let nexts = Array.make eng.n 0 in
+  publish eng shard ~slot:0;
+  Barrier.rendezvous eng.bar ~party:shard ~poll;
   let r = ref 0 and cur = ref 0 and stop = ref false in
   while not !stop do
-    let mine = Scheduler.next_time sched in
-    let mine = if mine < 0 then Horizon.no_event else mine in
-    Atomic.set eng.next_ev.(shard) mine;
-    Atomic.set eng.next_tag.(shard) (!r + 1);
-    for j = 0 to eng.n - 1 do
-      let spins = ref 0 in
-      while Atomic.get eng.next_tag.(j) < !r + 1 do
-        backoff !spins;
-        incr spins
-      done;
-      nexts.(j) <- Atomic.get eng.next_ev.(j)
-    done;
+    next_events eng ~slot:!r nexts;
     let earliest = Array.fold_left min Horizon.no_event nexts in
     if earliest > eng.until then stop := true
     else begin
@@ -346,14 +438,17 @@ let run_shard eng shard =
          published event, so every round retires at least one event
          fleet-wide (or closes the run). *)
       assert (horizon > !cur);
+      st.round <- !r;
+      let t0 = Unix.gettimeofday () and w0 = Barrier.waited_s eng.bar ~party:shard in
       Scheduler.drain_until_horizon sched ~horizon;
-      Atomic.set eng.progress.(shard) horizon;
-      (* Barrier: everyone reaches [horizon]; all messages sent in this
-         round are then poppable (pushes happen-before the horizon
-         store). Drain while waiting to relieve backpressure. *)
-      wait_progress eng shard ~horizon;
+      st.busy_s <-
+        st.busy_s
+        +. (Unix.gettimeofday () -. t0)
+        -. (Barrier.waited_s eng.bar ~party:shard -. w0);
+      publish eng shard ~slot:(!r + 1);
+      Barrier.rendezvous eng.bar ~party:shard ~poll;
       drain_inbound eng shard;
-      release_staged eng shard;
+      release_staged eng shard ~round:!r;
       cur := horizon;
       incr r
     end
@@ -362,6 +457,8 @@ let run_shard eng shard =
 
 (* ------------------------------------------------------------------ *)
 (* Build + run                                                         *)
+
+type shard_time = { busy_s : float; spin_s : float; parked_s : float; parks : int }
 
 type result = {
   plan : plan;
@@ -379,6 +476,7 @@ type result = {
   host_received_bytes : int array;
   wall_s : float;
   ctxs : shard_ctx array;
+  shard_time : shard_time array;
 }
 
 (* Order-independent arrival digest. The full trace's sort key
@@ -452,6 +550,15 @@ let run cfg (topo : Topology.t) =
       let s = pl.part.shard_of_host.(h) in
       shard_hosts.(s) <- (h, host) :: shard_hosts.(s))
     hosts;
+  (* Each shard receives one ring per inbound cross-link direction; a
+     ring sits at most once in its [dirty] set, which bounds both
+     arrays. *)
+  let inbound = Array.make n 0 in
+  List.iter
+    (fun c ->
+      inbound.(c.shard_a) <- inbound.(c.shard_a) + 1;
+      inbound.(c.shard_b) <- inbound.(c.shard_b) + 1)
+    pl.cross;
   let states =
     Array.init n (fun s ->
         {
@@ -464,12 +571,17 @@ let run cfg (topo : Topology.t) =
               hosts = List.rev shard_hosts.(s);
               links = [];
             };
-          staging = [];
+          round = 0;
+          sent_min = Array.make n Horizon.no_event;
+          dirty = Array.make inbound.(s) 0;
+          ndirty = 0;
+          heap = Array.make inbound.(s) 0;
           trace = [];
           digest = 0;
           ties = 0;
           cross_sent = 0;
           cross_delivered = 0;
+          busy_s = 0.;
         })
   in
   let chans = Array.make_matrix n n None in
@@ -490,11 +602,12 @@ let run cfg (topo : Topology.t) =
       min_out;
       states;
       chans;
-      progress = Array.init n (fun _ -> Atomic.make 0);
-      next_ev = Array.init n (fun _ -> Atomic.make 0);
-      next_tag = Array.init n (fun _ -> Atomic.make 0);
-      xdeliver = Array.make (2 * n_links) (fun _ -> assert false);
-      }
+      (* Only cross-link directions get a ring of their own (below). *)
+      rings = Array.make (2 * n_links) (new_xring ());
+      bar = Barrier.create ~parties:n;
+      pub_head = Array.make (2 * n) Horizon.no_event;
+      pub_sent = Array.make (2 * n * n) Horizon.no_event;
+    }
   in
   (* Trace hooks: per-entity sequence numbers are global arrays, but
      each entity is touched by exactly one shard's domain. *)
@@ -590,21 +703,29 @@ let run cfg (topo : Topology.t) =
     topo.attachments;
   (* Cross-shard links: each direction is a sender closure computing
      the arrival timestamp (now + delay — exactly [Link.send]'s fast
-     path) and a receiver-side delivery endpoint released at the
-     barrier. They cannot fail: no perturbation, no status change. *)
-  let xseq = Array.make (2 * n_links) 0 in
+     path) and a receiver-side ring whose one callback delivers the
+     ring's head. They cannot fail: no perturbation, no status change.
+     An arrival past [until] would never be released, so it is counted
+     as sent and dropped at the sender. *)
   List.iter
     (fun c ->
       let l = c.link in
       let wire ~src ~dst ~mkey (sw_from, port_from) (sw_to, port_to) =
-        eng.xdeliver.(mkey) <- (fun pkt -> sw_rx dst sw_to port_to pkt);
+        let rg = new_xring () and rst = states.(dst) in
+        rg.cb <-
+          (fun () ->
+            let m = xring_pop rg in
+            rst.cross_delivered <- rst.cross_delivered + 1;
+            sw_rx dst sw_to port_to m.mpkt);
+        eng.rings.(mkey) <- rg;
         Event_switch.set_port_tx switches.(sw_from) ~port:port_from (fun pkt ->
             let st = states.(src) in
             st.cross_sent <- st.cross_sent + 1;
-            let seq = xseq.(mkey) in
-            xseq.(mkey) <- seq + 1;
-            xsend eng ~src ~dst
-              { mtime = Scheduler.now st.ctx.sched + l.delay; mkey; mseq = seq; mpkt = pkt })
+            let mtime = Scheduler.now st.ctx.sched + l.delay in
+            if mtime <= eng.until then begin
+              if mtime < st.sent_min.(dst) then st.sent_min.(dst) <- mtime;
+              xsend eng ~src ~dst { mtime; mkey; mround = st.round; mpkt = pkt }
+            end)
       in
       wire ~src:c.shard_a ~dst:c.shard_b ~mkey:(2 * l.link_id) l.a l.b;
       wire ~src:c.shard_b ~dst:c.shard_a ~mkey:((2 * l.link_id) + 1) l.b l.a)
@@ -666,4 +787,29 @@ let run cfg (topo : Topology.t) =
     host_received_bytes = Array.map Host.received_bytes hosts;
     wall_s;
     ctxs = Array.map (fun st -> st.ctx) states;
+    shard_time =
+      (if n = 1 then [| { busy_s = wall_s; spin_s = 0.; parked_s = 0.; parks = 0 } |]
+       else
+         Array.mapi
+           (fun s (st : shard_state) ->
+             {
+               busy_s = st.busy_s;
+               spin_s = Barrier.spin_s eng.bar ~party:s;
+               parked_s = Barrier.parked_s eng.bar ~party:s;
+               parks = Barrier.parks eng.bar ~party:s;
+             })
+           states);
   }
+
+let export_shard_time reg (r : result) =
+  let shards = string_of_int (Array.length r.shard_time) in
+  Array.iteri
+    (fun s t ->
+      let labels = [ ("shards", shards); ("shard", string_of_int s) ] in
+      let secs name v = Obs.Metrics.Summary.observe (Obs.Metrics.summary reg ~labels name) v in
+      secs "parsim.shard.wall_s" r.wall_s;
+      secs "parsim.shard.busy_s" t.busy_s;
+      secs "parsim.shard.spin_s" t.spin_s;
+      secs "parsim.shard.parked_s" t.parked_s;
+      Obs.Metrics.Counter.set (Obs.Metrics.counter reg ~labels "parsim.shard.parks") t.parks)
+    r.shard_time

@@ -27,13 +27,19 @@
     later, i.e. at or after the shared horizon — no shard ever receives
     an event in its past.
 
-    Cross-shard deliveries travel through bounded {!Spsc} channels, are
-    staged at the round barrier, sorted by (arrival time, link,
-    sequence) and released into the receiving scheduler. A shard that
-    finds an outbound channel full drains its own inbound channels
-    while retrying, so backpressure cannot deadlock the barrier. When
-    every published next event is past [until] the fleet stops — the
-    quiescence vote falls out of the same published data.
+    Each round ends in one {!Barrier.rendezvous}. Before it, every
+    shard publishes the head of its queue and, per peer, the earliest
+    arrival it sent that peer during the window; from these every shard
+    computes the same next-event vector for the following window.
+    Cross-shard deliveries travel through bounded {!Spsc} channels
+    into one receiver-side FIFO ring per directed cross link, and are
+    released after the rendezvous in (arrival time, link, sequence)
+    order, each ring under one persistent callback. A shard that finds
+    an outbound channel full wakes the receiver and drains its own
+    inbound channels while it waits, so backpressure cannot deadlock
+    the barrier. When every published next event is past [until] the
+    fleet stops — the quiescence vote falls out of the same published
+    data.
 
     [shards = 1] takes the true sequential path — one scheduler, plain
     {!Eventsim.Scheduler.run}, no channels — so a sharded run can be
@@ -47,6 +53,9 @@ module Spsc = Spsc
 
 module Horizon = Horizon
 (** Re-exported: the pure synchronization-safety arithmetic. *)
+
+module Barrier = Barrier
+(** Re-exported: the spin-then-park rendezvous between shard domains. *)
 
 type partition = {
   shards : int;
@@ -158,6 +167,17 @@ val config :
 (** Defaults: 1 shard, capacity 1024, default backend, adaptive
     horizon, no trace, no digest. *)
 
+type shard_time = {
+  busy_s : float;
+      (** wall seconds executing windows ([drain_until_horizon]), minus
+          any wait for channel space inside them *)
+  spin_s : float;  (** wall seconds spinning in {!Barrier} waits *)
+  parked_s : float;  (** wall seconds parked in {!Barrier} waits *)
+  parks : int;  (** times the shard slept on its condition *)
+}
+(** One shard's wall-time ledger. Wall times differ from run to run, so
+    these stay out of {!result.registries} and {!result.metrics_json}. *)
+
 type result = {
   plan : plan;
   rounds_executed : int;
@@ -195,9 +215,17 @@ type result = {
   host_received_bytes : int array;
   wall_s : float;  (** wall-clock of the run phase only *)
   ctxs : shard_ctx array;
+  shard_time : shard_time array;
+      (** per shard; on the sequential path one entry, all busy *)
 }
 
 val run : config -> Evcore.Topology.t -> result
 (** Build, execute, merge. Validates the topology; raises
     [Invalid_argument] on a bad shard count. [shards = 0] resolves to
     [min (recommended_domains ()) switches] before planning. *)
+
+val export_shard_time : Obs.Metrics.t -> result -> unit
+(** Write {!result.shard_time} into [reg] as [parsim.shard.busy_s],
+    [spin_s], [parked_s] and [wall_s] summaries (one observation each)
+    and a [parsim.shard.parks] counter, labelled [shards] and [shard].
+    Meant for a report registry, never one compared across runs. *)

@@ -347,6 +347,113 @@ let test_spsc_cross_domain () =
   Alcotest.(check (option int)) "channel empty at the end" None (Spsc.try_pop ch)
 
 (* ------------------------------------------------------------------ *)
+(* Barrier                                                             *)
+
+(* Run [f], failing the whole test binary if it has not returned within
+   [seconds]: a lost wakeup would otherwise hang the suite. *)
+let with_watchdog ~seconds f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then begin
+          prerr_endline (Printf.sprintf "watchdog: no progress after %.0f s, aborting" seconds);
+          Unix._exit 3
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    f
+
+(* More parties than cores, but few enough domains for any machine. *)
+let oversubscribed () = min (Domain.recommended_domain_count () + 2) 64
+
+(* [parties] domains run [rounds] rendezvous. Each publishes a per-round
+   value into a slot of the round's parity before arriving and checks
+   every peer's value after: a barrier that let anyone through early
+   (or a peer lap the reader) shows up as a wrong value, a lost wakeup
+   as a watchdog abort. Party 0 stalls past the spin budget now and
+   then, so spinning peers must park and be woken too. *)
+let barrier_stress ~parties ~rounds =
+  let bar = Parsim.Barrier.create ~parties in
+  let slots = Array.make_matrix 2 parties (-1) in
+  let bad = Atomic.make 0 in
+  let body p () =
+    for r = 0 to rounds - 1 do
+      if p = 0 && r mod 500 = 499 then Unix.sleepf 0.003;
+      slots.(r land 1).(p) <- (r * parties) + p;
+      Parsim.Barrier.rendezvous bar ~party:p;
+      for j = 0 to parties - 1 do
+        if slots.(r land 1).(j) <> (r * parties) + j then Atomic.incr bad
+      done
+    done
+  in
+  with_watchdog ~seconds:60. (fun () ->
+      let peers = Array.init (parties - 1) (fun i -> Domain.spawn (body (i + 1))) in
+      body 0 ();
+      Array.iter Domain.join peers);
+  Alcotest.(check int) "every peer's value seen, none lapped" 0 (Atomic.get bad);
+  bar
+
+let test_barrier_fits () =
+  let parties = max 2 (min (Domain.recommended_domain_count ()) 8) in
+  let bar = barrier_stress ~parties ~rounds:5_000 in
+  if parties <= Domain.recommended_domain_count () then begin
+    Alcotest.(check bool) "spins when parties fit" true (Parsim.Barrier.spins bar);
+    (* Party 0's stalls outlast the spin budget: its peers parked. *)
+    let parks = ref 0 in
+    for p = 1 to parties - 1 do
+      parks := !parks + Parsim.Barrier.parks bar ~party:p
+    done;
+    Alcotest.(check bool) "peers parked through the stalls" true (!parks > 0)
+  end
+
+let test_barrier_oversubscribed () =
+  let parties = oversubscribed () in
+  let bar = barrier_stress ~parties ~rounds:3_000 in
+  if parties > Domain.recommended_domain_count () then begin
+    Alcotest.(check bool) "no spinning past the core count" false (Parsim.Barrier.spins bar);
+    for p = 0 to parties - 1 do
+      Alcotest.(check (float 0.)) "no spin time" 0. (Parsim.Barrier.spin_s bar ~party:p)
+    done
+  end
+
+let test_barrier_handoff () =
+  (* The wait/wake protocol alone, under pure parking: two parties of an
+     oversubscribed barrier pass items through a capacity-1 channel, and
+     each side waits on the other for every item. A lost wakeup stops
+     the handoff for good. *)
+  let bar = Parsim.Barrier.create ~parties:(oversubscribed ()) in
+  let ch = Spsc.create ~capacity:1 and n = 10_000 in
+  let sum = ref 0 in
+  with_watchdog ~seconds:60. (fun () ->
+      let producer =
+        Domain.spawn (fun () ->
+            for i = 0 to n - 1 do
+              Parsim.Barrier.await bar ~party:0 (fun () -> Spsc.try_push ch i);
+              Parsim.Barrier.wake bar ~party:1
+            done)
+      in
+      for _ = 1 to n do
+        let got = ref (-1) in
+        Parsim.Barrier.await bar ~party:1 (fun () ->
+            match Spsc.try_pop ch with
+            | Some v ->
+                got := v;
+                true
+            | None -> false);
+        Parsim.Barrier.wake bar ~party:0;
+        sum := !sum + !got
+      done;
+      Domain.join producer);
+  Alcotest.(check int) "every item handed over once" (n * (n - 1) / 2) !sum
+
+(* ------------------------------------------------------------------ *)
 (* Windowed draining (the scheduler hook the engine relies on)         *)
 
 let test_drain_until_horizon backend () =
@@ -512,8 +619,8 @@ let ring_config ?backend ?(channel_capacity = 1024) ~shards ~switches ~until () 
         ctx.Parsim.hosts)
     ()
 
-let run_ring ?backend ?channel_capacity ~shards () =
-  let switches = 4 and until = Sim_time.us 250 in
+let run_ring ?backend ?channel_capacity ?(switches = 4) ~shards () =
+  let until = Sim_time.us 250 in
   let topo = Topology.ring ~switches () in
   Parsim.run (ring_config ?backend ?channel_capacity ~shards ~switches ~until ()) topo
 
@@ -539,12 +646,35 @@ let test_ring_conformance () =
     [ 2; 4 ]
 
 let test_ring_backpressure_conformance () =
-  (* capacity 1 forces the full-channel retry + self-drain path on
-     essentially every cross-shard send; the result must not change. *)
+  (* capacity 1 forces the full-channel wait + self-drain path on
+     essentially every cross-shard send; the result must not change.
+     Also with more shards than cores, where every wait parks and a
+     full channel must wake its parked receiver. *)
+  with_watchdog ~seconds:60. (fun () ->
+      List.iter
+        (fun shards ->
+          let switches = max 4 shards in
+          let seq = run_ring ~switches ~shards:1 () in
+          let par = run_ring ~switches ~shards ~channel_capacity:1 () in
+          Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
+          check_same_run seq par)
+        [ 2; oversubscribed () ])
+
+let test_shard_time_ledger () =
   let seq = run_ring ~shards:1 () in
-  let par = run_ring ~shards:2 ~channel_capacity:1 () in
-  Alcotest.(check bool) "cross-shard messages flowed" true (par.Parsim.cross_sent > 0);
-  check_same_run seq par
+  Alcotest.(check int) "one sequential entry" 1 (Array.length seq.Parsim.shard_time);
+  Alcotest.(check (float 0.)) "sequential run is all busy" seq.Parsim.wall_s
+    seq.Parsim.shard_time.(0).Parsim.busy_s;
+  let par = with_watchdog ~seconds:60. (fun () -> run_ring ~shards:2 ()) in
+  Alcotest.(check int) "one entry per shard" 2 (Array.length par.Parsim.shard_time);
+  Array.iter
+    (fun (t : Parsim.shard_time) ->
+      Alcotest.(check bool) "non-negative" true
+        (t.busy_s >= 0. && t.spin_s >= 0. && t.parked_s >= 0. && t.parks >= 0);
+      (* The ledger's parts are disjoint intervals of the run phase. *)
+      Alcotest.(check bool) "parts fit inside the run" true
+        (t.busy_s +. t.spin_s +. t.parked_s <= (par.Parsim.wall_s *. 1.05) +. 1e-3))
+    par.Parsim.shard_time
 
 let test_ring_backend_agnostic () =
   (* Same sharded run under both queue backends: byte-identical. *)
@@ -569,6 +699,9 @@ let suite =
     Alcotest.test_case "spsc: fifo + backpressure" `Quick test_spsc_fifo_and_backpressure;
     Alcotest.test_case "spsc: capacity rounding" `Quick test_spsc_capacity_rounding;
     Alcotest.test_case "spsc: cross-domain stress" `Quick test_spsc_cross_domain;
+    Alcotest.test_case "barrier: parties <= cores" `Quick test_barrier_fits;
+    Alcotest.test_case "barrier: parties > cores" `Quick test_barrier_oversubscribed;
+    Alcotest.test_case "barrier: parked handoff" `Quick test_barrier_handoff;
     Alcotest.test_case "drain_until_horizon (heap)" `Quick
       (test_drain_until_horizon Sched_backend.Heap);
     Alcotest.test_case "drain_until_horizon (wheel)" `Quick
@@ -581,4 +714,5 @@ let suite =
     Alcotest.test_case "ring: sharded = sequential" `Quick test_ring_conformance;
     Alcotest.test_case "ring: backpressure conformance" `Quick test_ring_backpressure_conformance;
     Alcotest.test_case "ring: backend agnostic" `Quick test_ring_backend_agnostic;
+    Alcotest.test_case "ring: per-shard time ledger" `Quick test_shard_time_ledger;
   ]
